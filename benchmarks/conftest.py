@@ -49,6 +49,25 @@ def merge_bench_rows(rows: dict) -> None:
         handle.write("\n")
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "bench_json: emits a BENCH_explorer.json row (run by the non-gating bench job only)",
+    )
+
+
+@pytest.hookimpl(tryfirst=True)
+def pytest_collection_modifyitems(items):
+    """Mark every test that uses the ``bench_json`` fixture with ``bench_json``.
+
+    Runs before ``-m`` deselection, so ``-m "not bench_json"`` keeps the
+    trend-file emitters out of a run and ``-m bench_json`` selects just them.
+    """
+    for item in items:
+        if "bench_json" in getattr(item, "fixturenames", ()):
+            item.add_marker(pytest.mark.bench_json)
+
+
 @pytest.fixture
 def reporter():
     """Fixture handing benchmarks the row printer."""

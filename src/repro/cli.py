@@ -227,37 +227,11 @@ def _build_options(args: argparse.Namespace) -> PlanktonOptions:
 
 
 # --------------------------------------------------------------------------- subcommands
-def _verify_document(result, policy) -> Dict[str, object]:
-    """The ``--json`` document of one verification result."""
-    document: Dict[str, object] = {
-        "holds": result.holds,
-        "policy": policy.name,
-        "pecs_analyzed": result.pecs_analyzed,
-        "failure_scenarios": result.failure_scenarios,
-        "converged_states": result.total_converged_states,
-        "states_expanded": result.total_states_expanded,
-        "elapsed_seconds": round(result.elapsed_seconds, 6),
-        "violations": [
-            {
-                "policy": violation.policy,
-                "pec": violation.pec_description,
-                "failures": violation.failure_description,
-                "message": violation.message,
-            }
-            for violation in result.violations
-        ],
-    }
-    if result.incremental is not None:
-        document["incremental"] = result.incremental.as_dict()
-    if result.errors:
-        document["complete"] = False
-        document["errors"] = [failure.as_dict() for failure in result.errors]
-    return document
-
-
 def _print_verify_result(args: argparse.Namespace, result, policy) -> None:
     if args.json:
-        print(json.dumps(_verify_document(result, policy), indent=2))
+        from repro.reporting import verify_document
+
+        print(json.dumps(verify_document(result, policy.name), indent=2))
     else:
         print(result.summary())
         if result.incremental is not None:
@@ -488,9 +462,11 @@ def _cmd_diff_verify(args: argparse.Namespace) -> int:
         )
 
     if args.json:
+        from repro.reporting import verify_document
+
         document = {
-            "old": _verify_document(old_result, policy),
-            "new": _verify_document(new_result, policy),
+            "old": verify_document(old_result, policy.name),
+            "new": verify_document(new_result, policy.name),
             "delta": delta.summary(),
         }
         print(json.dumps(document, indent=2))

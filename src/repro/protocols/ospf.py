@@ -4,6 +4,16 @@ OSPF is deterministic: given a topology, link costs and the set of origins of
 a prefix, the converged state is a shortest-path DAG toward the closest
 origin, with ECMP when several neighbours lie on equal-cost shortest paths.
 
+Every SPF run walks one compiled adjacency: per OSPF speaker, the incoming
+and outgoing arcs ``(neighbor, cost, link_id)`` of all its links, with both
+sides' passive flags, interface cost overrides, directional link weights and
+the "both ends run OSPF" rule already applied.  None of that depends on which
+links have failed, so the table is built once per :class:`OspfComputation`
+and a run only skips the arcs whose ``link_id`` is in its failure set.
+Symmetry reduction gives nearly every PEC its own failure set, so the
+per-(origins, failures) table cache rarely hits on a cold verify, and a
+per-failure adjacency would be rebuilt almost as often as SPF itself runs.
+
 Two consumers use this module:
 
 * the OSPF :class:`~repro.protocols.ospf_instance.OspfInstance` path-vector
@@ -17,14 +27,15 @@ Two consumers use this module:
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.config.objects import NetworkConfig, DEFAULT_OSPF_COST
-from repro.netaddr import Prefix
-from repro.topology import Topology
+from repro.config.objects import NetworkConfig
 
 INFINITY = float("inf")
+
+#: One directed OSPF adjacency over one link: (neighbor, cost, link_id).
+Arc = Tuple[str, int, int]
 
 
 @dataclass(frozen=True)
@@ -64,6 +75,7 @@ class OspfComputation:
         self.topology = network.topology
         self._cache: Dict[Tuple[FrozenSet[str], FrozenSet[int]], OspfRoutingTable] = {}
         self._filter_caches: Dict[FrozenSet[int], Dict[str, Dict]] = {}
+        self._arcs: Optional[Dict[str, Tuple[Tuple[Arc, ...], Tuple[Arc, ...]]]] = None
 
     def shared_filter_caches(self, failure_key: FrozenSet[int]) -> Dict[str, Dict]:
         """Filter/rank memo dicts shared by all instances of one failure set.
@@ -105,8 +117,47 @@ class OspfComputation:
             return INFINITY
         return config.cost_to(neighbor, link_weight)
 
-    def _runs_ospf(self, node: str) -> bool:
-        return self.network.device(node).ospf is not None
+    def _adjacency(self) -> Dict[str, Tuple[Tuple[Arc, ...], Tuple[Arc, ...]]]:
+        """Per OSPF speaker, its (incoming, outgoing) arcs over every link.
+
+        An arc exists when both ends run OSPF and neither side's interface
+        towards the other is passive.  The incoming arc of ``node`` carries
+        the neighbour's cost of ``neighbor -> node``, the outgoing arc
+        ``node``'s own cost of ``node -> neighbor``.  Arcs keep the order of
+        :meth:`~repro.topology.Topology.edges`, so SPF relaxes them as a link walk would.
+        """
+        if self._arcs is None:
+            ospf = {
+                name: config.ospf
+                for name, config in self.network.devices.items()
+                if config.ospf is not None
+            }
+            arcs: Dict[str, Tuple[Tuple[Arc, ...], Tuple[Arc, ...]]] = {}
+            for node, mine in ospf.items():
+                incoming: List[Arc] = []
+                outgoing: List[Arc] = []
+                for link in self.topology.edges(node):
+                    neighbor = link.other(node)
+                    theirs = ospf.get(neighbor)
+                    if theirs is None or mine.is_passive(neighbor) or theirs.is_passive(node):
+                        continue
+                    incoming.append(
+                        (neighbor, theirs.cost_to(node, link.weight_from(neighbor)), link.link_id)
+                    )
+                    outgoing.append(
+                        (neighbor, mine.cost_to(neighbor, link.weight_from(node)), link.link_id)
+                    )
+                arcs[node] = (tuple(incoming), tuple(outgoing))
+            self._arcs = arcs
+        return self._arcs
+
+    def adjacent(self, node: str, failed_links: Optional[Set[int]] = None) -> Tuple[str, ...]:
+        """The sorted OSPF neighbours of ``node`` over links not in ``failed_links``."""
+        arcs = self._adjacency().get(node)
+        if arcs is None:
+            return ()
+        failed = failed_links or ()
+        return tuple(sorted({neighbor for neighbor, _, link_id in arcs[1] if link_id not in failed}))
 
     # ------------------------------------------------------------------ SPF
     def compute(
@@ -120,68 +171,58 @@ class OspfComputation:
         the node towards the origin side), so ``distances[n]`` is the cost of
         the best n -> origin path, exactly what each router's SPF run yields.
         """
-        key = (frozenset(origins), frozenset(failed_links or ()))
+        failed = frozenset(failed_links or ())
+        key = (frozenset(origins), failed)
         cached = self._cache.get(key)
         if cached is not None:
             return cached
 
+        adjacency = self._adjacency()
+        heappush, heappop = heapq.heappush, heapq.heappop
         distances: Dict[str, float] = {}
         chosen_origin: Dict[str, str] = {}
         heap: List[Tuple[float, str, str]] = []
         for origin in origins:
-            if not self._runs_ospf(origin):
+            if origin not in adjacency:
                 continue
             distances[origin] = 0.0
             chosen_origin[origin] = origin
-            heapq.heappush(heap, (0.0, origin, origin))
+            heappush(heap, (0.0, origin, origin))
 
         settled: Set[str] = set()
         while heap:
-            dist, node, origin = heapq.heappop(heap)
+            dist, node, origin = heappop(heap)
             if node in settled:
                 continue
             settled.add(node)
-            for link in self.topology.edges(node, failed_links):
-                neighbor = link.other(node)
-                if not self._runs_ospf(neighbor):
-                    continue
-                # An adjacency requires neither side to be passive.
-                if self.network.device(node).ospf.is_passive(neighbor):
-                    continue
-                # Cost of neighbor -> node edge, as seen by the neighbour.
-                cost = self.link_cost(neighbor, node, link.weight_from(neighbor))
-                if cost == INFINITY:
+            for neighbor, cost, link_id in adjacency[node][0]:
+                if link_id in failed:
                     continue
                 candidate = dist + cost
                 best = distances.get(neighbor, INFINITY)
                 if candidate < best:
                     distances[neighbor] = candidate
                     chosen_origin[neighbor] = origin
-                    heapq.heappush(heap, (candidate, neighbor, origin))
+                    heappush(heap, (candidate, neighbor, origin))
                 elif candidate == best and origin < chosen_origin.get(neighbor, origin):
                     # Deterministic tie-break between equally distant origins.
                     chosen_origin[neighbor] = origin
-                    heapq.heappush(heap, (candidate, neighbor, origin))
+                    heappush(heap, (candidate, neighbor, origin))
 
         next_hops: Dict[str, Tuple[str, ...]] = {}
-        origin_set = {o for o in origins if self._runs_ospf(o)}
+        origin_set = {o for o in origins if o in adjacency}
         for node, dist in distances.items():
             if node in origin_set:
                 next_hops[node] = ()
                 continue
-            hops = []
-            for link in self.topology.edges(node, failed_links):
-                neighbor = link.other(node)
-                if neighbor not in distances or not self._runs_ospf(neighbor):
-                    continue
-                if self.network.device(neighbor).ospf.is_passive(node):
-                    continue
-                cost = self.link_cost(node, neighbor, link.weight_from(node))
-                if cost == INFINITY:
-                    continue
-                if distances[neighbor] + cost == dist:
-                    hops.append(neighbor)
-            next_hops[node] = tuple(sorted(set(hops)))
+            hops = {
+                neighbor
+                for neighbor, cost, link_id in adjacency[node][1]
+                if link_id not in failed
+                and neighbor in distances
+                and distances[neighbor] + cost == dist
+            }
+            next_hops[node] = tuple(sorted(hops))
 
         order = tuple(sorted(distances, key=lambda n: (distances[n], n)))
         table = OspfRoutingTable(
@@ -203,27 +244,13 @@ class OspfComputation:
         table = self.compute([target], failed_links)
         return table.distances.get(source, INFINITY)
 
-    def shortest_path(
-        self,
-        source: str,
-        origins: Sequence[str],
-        failed_links: Optional[Set[int]] = None,
-    ) -> Optional[List[str]]:
-        """One shortest path (node list, source first) or None if unreachable."""
-        table = self.compute(origins, failed_links)
-        if not table.is_reachable(source):
-            return None
-        path = [source]
-        current = source
-        visited = {source}
-        while table.next_hops.get(current):
-            current = table.next_hops[current][0]
-            if current in visited:
-                return None
-            visited.add(current)
-            path.append(current)
-        return path
-
     def clear_cache(self) -> None:
-        """Drop all cached SPF results (used when configs are mutated)."""
+        """Drop everything derived from the configs (used when they are mutated).
+
+        That is the SPF tables, the compiled adjacency and the filter/rank
+        memos shared by the :class:`~repro.protocols.ospf_instance.OspfInstance`
+        objects built afterwards.
+        """
         self._cache.clear()
+        self._filter_caches.clear()
+        self._arcs = None

@@ -15,7 +15,7 @@ deviation described at the end of §3.4.2.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Set, Tuple
 
 from repro.config.objects import NetworkConfig
 from repro.exceptions import ProtocolError
@@ -102,23 +102,10 @@ class OspfInstance(PathVectorInstance):
 
     def peers(self, node: str) -> Sequence[str]:
         cached = self._peers_cache.get(node)
-        if cached is not None:
-            return cached
-        result: List[str] = []
-        config = self.network.device(node).ospf
-        if config is not None:
-            for link in self.network.topology.edges(node, self.failed_links):
-                neighbor = link.other(node)
-                if neighbor not in self._speaker_set:
-                    continue
-                if config.is_passive(neighbor):
-                    continue
-                if self.network.device(neighbor).ospf.is_passive(node):
-                    continue
-                result.append(neighbor)
-        peers = tuple(sorted(set(result)))
-        self._peers_cache[node] = peers
-        return peers
+        if cached is None:
+            cached = self.computation.adjacent(node, self.failed_links)
+            self._peers_cache[node] = cached
+        return cached
 
     # ------------------------------------------------------------------ filters
     def export(self, exporter: str, importer: str, route: Optional[Route]) -> Optional[Route]:

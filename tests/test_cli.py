@@ -109,6 +109,30 @@ class TestVerifyCommand:
         assert document["violations"]
         assert document["policy"]
 
+    def test_json_document_is_the_shared_verify_document(self, workspace, capsys, monkeypatch):
+        from repro.core.verifier import Plankton
+        from repro.reporting import verify_document
+
+        seen = []
+        original = Plankton.verify
+
+        def recording(self, policy, *args, **kwargs):
+            result = original(self, policy, *args, **kwargs)
+            seen.append((result, policy))
+            return result
+
+        monkeypatch.setattr(Plankton, "verify", recording)
+        _run([
+            "verify", "--topology", workspace / "net.topo", "--config", workspace / "looping.cfg",
+            "--policy", "loop", "--json",
+        ])
+        document = json.loads(capsys.readouterr().out)
+        [(result, policy)] = seen
+        expected = json.loads(json.dumps(verify_document(result, policy.name)))
+        assert list(document) == list(expected)
+        for key, value in expected.items():
+            assert document[key] == value, key
+
     def test_reachability_under_failures(self, workspace, capsys):
         code = _run([
             "verify", "--topology", workspace / "net.topo", "--config", workspace / "good.cfg",

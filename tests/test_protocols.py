@@ -99,6 +99,23 @@ class TestOspfComputation:
         computation = OspfComputation(network)
         assert computation.igp_cost_between("r0", "r2") == 8
 
+    def test_clear_cache_sees_an_in_place_cost_edit(self):
+        from repro.config.objects import OspfInterface
+
+        prefix = Prefix("10.0.0.0/24")
+        network = ospf_everywhere(linear_chain(3, link_weight=7), originate_roles=(), prefix_for={"r0": prefix})
+        computation = OspfComputation(network)
+        instance = build_ospf_instance(network, prefix, computation=computation)
+        assert computation.compute(["r0"]).distances["r1"] == 7
+        assert instance.advertisement("r1", "r0", instance.origin_route("r0")).igp_cost == 7
+
+        network.device("r1").ospf.interfaces["r0"] = OspfInterface(neighbor="r0", cost=10)
+        computation.clear_cache()
+        assert computation.compute(["r0"]).distances["r1"] == 10
+        assert computation.compute(["r0"]).distances["r2"] == 17
+        fresh = build_ospf_instance(network, prefix, computation=computation)
+        assert fresh.advertisement("r1", "r0", fresh.origin_route("r0")).igp_cost == 10
+
 
 class TestStaticResolution:
     def _network(self):
